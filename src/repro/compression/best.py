@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from .base import CompressionError, CompressionResult, Compressor
 from .bdi import BDICompressor
 from .fpc import FPCCompressor
@@ -65,17 +67,25 @@ class BestOfCompressor(Compressor):
         return min(results, key=lambda result: result.size_bits)
 
     def compress_batch(self, lines) -> list[CompressionResult]:
-        """Batched :meth:`compress`: one member batch call each, then
-        a per-row minimum with the same first-member tie-break."""
+        """Batched :meth:`compress`, size first.
+
+        Every member sizes the whole batch (:meth:`Compressor.plan_batch`),
+        each row's winner is the first member with the smallest size
+        (the serial tie-break), and each member then packs only the
+        rows it won: one result per line.
+        """
         if not lines:
             return []
-        per_member = [
-            compressor.compress_batch(lines) for compressor in self._compressors
-        ]
-        return [
-            min(row, key=lambda result: result.size_bits)
-            for row in zip(*per_member)
-        ]
+        plans = [compressor.plan_batch(lines) for compressor in self._compressors]
+        if len(plans) == 1:
+            return plans[0].pack(range(len(lines)))
+        winners = np.argmin([plan.size_bits for plan in plans], axis=0)
+        results: list[CompressionResult | None] = [None] * len(lines)
+        for member, plan in enumerate(plans):
+            rows = np.flatnonzero(winners == member)
+            for row, result in zip(rows.tolist(), plan.pack(rows)):
+                results[row] = result
+        return results
 
     def compress_all(self, data: bytes) -> dict[str, CompressionResult]:
         """Results from every member, keyed by compressor name."""

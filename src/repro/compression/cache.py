@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .base import CompressionResult, Compressor
+from .base import CompressionResult, Compressor, check_lines
 
 #: Placeholder cache value for a batch entry whose compression result is
 #: still outstanding (see :meth:`CachingCompressor.compress_batch`).  It
@@ -96,28 +96,29 @@ class CachingCompressor:
         """
         if not lines:
             return []
+        # Every line is checked before the cache is touched, so a
+        # misshaped line leaves the entries and counters as they were.
+        check_lines(self.name, lines)
         entries = self._entries
         capacity = self.capacity
         keys = [data if type(data) is bytes else bytes(data) for data in lines]
-        slots: list = [None] * len(keys)
+        slots: list = []
         to_compute: dict[bytes, None] = {}
-        pending_in_cache: set[bytes] = set()
-        for index, key in enumerate(keys):
+        hits = 0
+        for key in keys:
             result = entries.get(key)
             if result is not None:
-                self.hits += 1
+                hits += 1
                 entries.move_to_end(key)
-                slots[index] = key if result is _PENDING else result
+                slots.append(key if result is _PENDING else result)
                 continue
-            self.misses += 1
-            to_compute.setdefault(key)
+            to_compute[key] = None
             entries[key] = _PENDING
-            pending_in_cache.add(key)
-            slots[index] = key
+            slots.append(key)
             if len(entries) > capacity:
-                evicted_key, evicted_value = entries.popitem(last=False)
-                if evicted_value is _PENDING:
-                    pending_in_cache.discard(evicted_key)
+                entries.popitem(last=False)
+        self.hits += hits
+        self.misses += len(keys) - hits
         try:
             computed = dict(
                 zip(to_compute, self.inner.compress_batch(list(to_compute)))
@@ -125,14 +126,17 @@ class CachingCompressor:
         except BaseException:
             # A placeholder must never outlive the batch call: a later
             # compress() would hand the sentinel out as a result.
-            for key in pending_in_cache:
-                entries.pop(key, None)
+            for key in to_compute:
+                if entries.get(key) is _PENDING:
+                    del entries[key]
             raise
-        for key in pending_in_cache:
-            entries[key] = computed[key]
+        for key, result in computed.items():
+            # Resolve the placeholders still cached (a key evicted
+            # mid-batch and not missed again has none).
+            if entries.get(key) is _PENDING:
+                entries[key] = result
         return [
-            slot if isinstance(slot, CompressionResult) else computed[slot]
-            for slot in slots
+            computed[slot] if type(slot) is bytes else slot for slot in slots
         ]
 
     def clear(self) -> None:

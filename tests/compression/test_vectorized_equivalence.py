@@ -1,8 +1,9 @@
 """Vectorized kernels vs the frozen pre-rewrite references.
 
 The FPC and BDI ``compress`` paths were rewritten with numpy array
-predicates for the hot-path overhaul.  These tests pin the rewrite to
-the original word-at-a-time encoders (``reference_impls.py``, frozen
+predicates for the hot-path overhaul, and ``compress_batch`` runs
+batch-wide size and pack kernels.  These tests pin both paths to the
+original word-at-a-time encoders (``reference_impls.py``, frozen
 copies): for adversarial boundary lines and a broad randomized corpus,
 the production kernels must produce *byte-identical*
 ``CompressionResult``s, and every result must still round-trip.
@@ -13,8 +14,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import BDICompressor, FPCCompressor
+from repro.compression import (
+    BDICompressor,
+    BestOfCompressor,
+    CachingCompressor,
+    FPCCompressor,
+)
 from repro.compression.base import LINE_SIZE_BYTES
+from repro.pcm import bytes_to_bits
+from repro.validate.refcompress import reference_best_compress
 
 from .reference_impls import reference_bdi_compress, reference_fpc_compress
 
@@ -114,3 +122,110 @@ def test_bdi_matches_reference_randomized():
         result = BDI.compress(line)
         assert result == reference_bdi_compress(line)
         assert BDI.decompress(result) == line
+
+
+# -- the batch path ---------------------------------------------------------
+#
+# ``compress_batch`` runs separate size and pack kernels (and best-of
+# packs only each row's winner), so it is pinned to the same frozen
+# references as ``compress``, not only to ``compress`` itself.
+
+# Zero runs of 8, 9 and 16 words, and runs ending at word 15.
+ZERO_RUN_LINES = [
+    _words(*([0] * 8 + [5] * 8)),
+    _words(*([5] * 8)),
+    _words(*([3] + [0] * 9 + [1] * 6)),
+    _words(*([0] * 9 + [0xDEADBEEF] * 7)),
+    bytes(LINE_SIZE_BYTES),
+    _words(*([0x12345678] * 10)),
+    _words(*([0] * 7 + [9] + [0] * 8)),
+]
+
+_RANDOM_WORDS = [(0x9E3779B9 * (i + 1)) & 0xFFFFFFFF for i in range(14)]
+# BDI and FPC sizes tie on these rows (BDI must win): b4d1 vs 14 SE8
+# words plus a run (160 bits), b2d1 vs 14 hi-half words plus a run
+# (272), and uncompressed vs 14 raw words plus two SE8 words (512).
+TIE_LINES = [
+    _words(*([100] * 14)),
+    _words(*([0x10000] * 14)),
+    _words(*(_RANDOM_WORDS + [100, 50])),
+]
+
+
+def _reference_batch(compressor, lines):
+    reference = {
+        "fpc": reference_fpc_compress,
+        "bdi": reference_bdi_compress,
+    }.get(compressor.name, reference_best_compress)
+    return [reference(bytes(line)) for line in lines]
+
+
+def _batch_lines(count: int) -> list[bytes]:
+    pool = (
+        FPC_ADVERSARIAL + BDI_ADVERSARIAL + ZERO_RUN_LINES + TIE_LINES + CORPUS
+    )
+    rng = np.random.default_rng(count)
+    return [pool[int(i)] for i in rng.integers(0, len(pool), count)]
+
+
+def _assert_identical(got, want):
+    assert len(got) == len(want)
+    for result, expected in zip(got, want):
+        assert result == expected
+        assert result.payload == expected.payload
+        if len(result.payload) < LINE_SIZE_BYTES:
+            # The carried bit row: read-only, equal to the unpacked
+            # payload, and over a buffer of its own (not a batch view).
+            bits = result.bits
+            assert not bits.flags.writeable
+            np.testing.assert_array_equal(bits, bytes_to_bits(result.payload))
+            assert len(bits.base) == bits.size
+        else:
+            assert result.bits is None
+
+
+BATCH_COMPRESSORS = {
+    "fpc": FPCCompressor,
+    "bdi": BDICompressor,
+    "best": BestOfCompressor,
+    "cached": lambda: CachingCompressor(BestOfCompressor(), capacity=64),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_COMPRESSORS))
+@pytest.mark.parametrize("count", [1, 7, 128, 1000])
+def test_compress_batch_matches_reference(name, count):
+    compressor = BATCH_COMPRESSORS[name]()
+    lines = _batch_lines(count)
+    _assert_identical(
+        compressor.compress_batch(lines), _reference_batch(compressor, lines)
+    )
+
+
+@pytest.mark.parametrize("name", list(BATCH_COMPRESSORS))
+def test_compress_batch_matches_reference_on_zero_runs_and_ties(name):
+    compressor = BATCH_COMPRESSORS[name]()
+    lines = ZERO_RUN_LINES + TIE_LINES
+    _assert_identical(
+        compressor.compress_batch(lines), _reference_batch(compressor, lines)
+    )
+
+
+def test_tie_lines_tie_and_bdi_wins():
+    for line in TIE_LINES:
+        bdi = reference_bdi_compress(line)
+        assert bdi.size_bits == reference_fpc_compress(line).size_bits
+        (result,) = BestOfCompressor().compress_batch([line])
+        assert result.algorithm == "bdi"
+        assert result == bdi
+
+
+@pytest.mark.parametrize("name", list(BATCH_COMPRESSORS))
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_compress_batch_accepts_buffers(name, wrap):
+    compressor = BATCH_COMPRESSORS[name]()
+    lines = _batch_lines(40)
+    _assert_identical(
+        compressor.compress_batch([wrap(line) for line in lines]),
+        _reference_batch(compressor, lines),
+    )
