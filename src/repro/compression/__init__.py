@@ -3,6 +3,7 @@
 from .base import (
     LINE_SIZE_BITS,
     LINE_SIZE_BYTES,
+    BatchPlan,
     CompressionError,
     CompressionResult,
     Compressor,
@@ -24,6 +25,7 @@ from .stats import (
 __all__ = [
     "LINE_SIZE_BITS",
     "LINE_SIZE_BYTES",
+    "BatchPlan",
     "CompressionError",
     "CompressionResult",
     "Compressor",
