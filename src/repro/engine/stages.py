@@ -75,51 +75,7 @@ class CompressStage(Stage):
         state = self.state
         meta = state.metadata[ctx.physical]
         self._apply_format(ctx, *self._choose_format(meta, ctx.data))
-        self._mirror_cache_counters()
-
-    def run_batch(self, ctxs: list[WriteContext]) -> None:
-        """Fix the storage format of a whole batch of contexts.
-
-        One ``compress_batch`` call replaces the per-write ``compress``
-        calls; the Figure 8 decisions then replay in batch order, so
-        the per-line metadata (``sc``), the heuristic counters, and --
-        because the batched cache replays its probe/evict bookkeeping
-        serially -- the cache counters all land exactly where the
-        equivalent ``run`` loop would put them.
-        """
-        state = self.state
-        if state.config.use_compression:
-            batch = state.compressor.compress_batch([ctx.data for ctx in ctxs])
-            for ctx, result in zip(ctxs, batch):
-                meta = state.metadata[ctx.physical]
-                self._apply_format(ctx, *self._decide(meta, result))
-        else:
-            for ctx in ctxs:
-                self._apply_format(ctx, False, None, 0)
-        self._mirror_cache_counters()
-
-    def apply_decision(self, ctx: WriteContext, result) -> None:
-        """Fix one context's format from a precomputed compression.
-
-        The out-of-order batch scheduler gathers the compressions of a
-        whole segment in one ``compress_batch`` call but must replay the
-        Figure 8 decisions strictly in *program* order, interleaved with
-        the metadata commits -- a collision successor's decision reads
-        the ``sc``/``stored_size`` its predecessor's commit just wrote,
-        so :meth:`run_batch` (which decides everything up front) cannot
-        serve it.  This is the per-op decision half, identical to what
-        :meth:`run` does after compressing.  ``result`` is ``None`` when
-        compression is off.
-        """
-        if result is None:
-            self._apply_format(ctx, False, None, 0)
-            return
-        meta = self.state.metadata[ctx.physical]
-        self._apply_format(ctx, *self._decide(meta, result))
-
-    def mirror_cache_counters(self) -> None:
-        """Publish the compression-cache counters into the stats."""
-        self._mirror_cache_counters()
+        self.mirror_cache_counters()
 
     def _apply_format(self, ctx: WriteContext, compressed, result, step) -> None:
         ctx.compressed = compressed
@@ -132,9 +88,13 @@ class CompressStage(Stage):
             ctx.payload = ctx.data
             ctx.size = LINE_BYTES
 
-    def _mirror_cache_counters(self) -> None:
-        # Mirror the cache counters into the stats every write so they
-        # are always current when a caller snapshots ControllerStats.
+    def mirror_cache_counters(self) -> None:
+        """Publish the compression-cache counters into the stats.
+
+        Called after every write (and every scheduled segment) so the
+        counters are current whenever a caller snapshots
+        ControllerStats.
+        """
         cache = self._cache
         if cache is not None:
             stats = self.state.stats
@@ -149,7 +109,7 @@ class CompressStage(Stage):
         return self._decide(meta, state.compressor.compress(data))
 
     def _decide(self, meta, result):
-        """The post-compression half of the decision (shared with batch)."""
+        """The post-compression half of the decision."""
         state = self.state
         if result.size_bytes >= LINE_BYTES:
             return False, result, 0

@@ -7,7 +7,8 @@ healthy run from a hung one.  The simulator now emits periodic
 
 * :class:`JsonlObserver` appends one JSON object per event to a file
   (the machine-readable stream dashboards and the sweep manifest build
-  on);
+  on) through :class:`JsonlWriter`, the one JSONL writer the memory
+  service's shard and fleet streams use too;
 * :class:`ProgressObserver` prints one human-readable line per
   heartbeat (the CLI's ``--progress`` flag).
 
@@ -76,21 +77,24 @@ class RunObserver:
         """The run finished; ``result`` is the final ``LifetimeResult``."""
 
 
-class JsonlObserver(RunObserver):
-    """Appends one JSON object per event to a ``.jsonl`` file.
+class JsonlWriter:
+    """Append-only JSONL event stream with the standard envelope.
 
-    Events share a ``{"event": <type>, "time": <unix seconds>, ...}``
-    envelope; each line is flushed as written so a crashed run's stream
-    is readable up to its last event.  The file is opened lazily (on
-    the first event) and appended to, so a resumed run extends the
-    stream of the interrupted one.
+    Every record is ``{"event": <type>, "version": TELEMETRY_VERSION,
+    "time": <unix seconds>, **payload}``, one per line, flushed as
+    written so a crashed process's stream is readable up to its last
+    event.  The file (and its parent directory) is created lazily on
+    the first event and appended to, so a resumed run extends the
+    stream of the interrupted one.  Shared by :class:`JsonlObserver`
+    and the memory service's shard and fleet streams.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._handle: TextIO | None = None
 
-    def _emit(self, event: str, payload: dict) -> None:
+    def emit(self, event: str, payload: dict) -> None:
+        """Append one event record."""
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
@@ -99,8 +103,26 @@ class JsonlObserver(RunObserver):
         self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()
 
+    def close(self) -> None:
+        """Close the underlying file (reopened lazily if reused)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+class JsonlObserver(RunObserver):
+    """Appends one JSON object per run event to a ``.jsonl`` file.
+
+    The stream is a :class:`JsonlWriter`: standard envelope, one
+    flushed line per event, opened lazily and appended to.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self._writer = JsonlWriter(path)
+        self.path = self._writer.path
+
     def on_run_start(self, simulator, writes_issued: int) -> None:
-        self._emit("start", {
+        self._writer.emit("start", {
             "system": simulator.config.name,
             "workload": simulator.workload_name,
             "n_lines": simulator.n_lines,
@@ -111,15 +133,15 @@ class JsonlObserver(RunObserver):
     def on_heartbeat(self, event: HeartbeatEvent) -> None:
         payload = asdict(event)
         payload["compression_cache_hit_rate"] = event.compression_cache_hit_rate
-        self._emit("heartbeat", payload)
+        self._writer.emit("heartbeat", payload)
 
     def on_checkpoint(self, path, writes_issued: int) -> None:
-        self._emit("checkpoint", {
+        self._writer.emit("checkpoint", {
             "path": str(path), "writes_issued": writes_issued,
         })
 
     def on_run_end(self, result) -> None:
-        self._emit("end", {
+        self._writer.emit("end", {
             "system": result.system,
             "workload": result.workload,
             "writes_issued": result.writes_issued,
@@ -130,9 +152,7 @@ class JsonlObserver(RunObserver):
 
     def close(self) -> None:
         """Close the underlying file (reopened lazily if reused)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._writer.close()
 
 
 class ProgressObserver(RunObserver):

@@ -33,7 +33,6 @@ process) never accumulate stale placement caches.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import queue
@@ -44,7 +43,7 @@ from ..core.config import SystemConfig
 from ..engine.address_space import ShardMap, shard_seeds
 from ..engine.context import ControllerStats
 from ..engine.sweep import quarantine_run_dir
-from ..lifetime.telemetry import TELEMETRY_VERSION
+from ..lifetime.telemetry import JsonlWriter
 from ..pcm import FaultMode
 
 #: Default requests between per-shard heartbeat events.
@@ -119,28 +118,6 @@ def _stats_dict(stats: ControllerStats) -> dict:
     return payload
 
 
-class _JsonlWriter:
-    """Append-only JSONL stream with the repo's standard envelope."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
-
-    def emit(self, event: str, payload: dict) -> None:
-        if self._handle is None:
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        record = {"event": event, "version": TELEMETRY_VERSION,
-                  "time": time.time(), **payload}
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
 def _build_controller(spec: ShardSpec):
     """Construct the shard's controller exactly as a respawn would."""
     import numpy as np
@@ -178,7 +155,7 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
 
     writer = None
     if spec.telemetry_dir is not None:
-        writer = _JsonlWriter(
+        writer = JsonlWriter(
             os.path.join(
                 spec.telemetry_dir, f"shard-{spec.index}", "events.jsonl"
             )
@@ -346,7 +323,7 @@ class MemoryService:
         self.recoveries = 0
         self._last_fleet_beat = 0
         self._fleet_writer = (
-            _JsonlWriter(os.path.join(telemetry_dir, "fleet.jsonl"))
+            JsonlWriter(os.path.join(telemetry_dir, "fleet.jsonl"))
             if telemetry_dir is not None
             else None
         )

@@ -1,13 +1,13 @@
 """Batched write engine vs the serial pipeline: bit-identity.
 
-``CompressedPCMController.write_batch`` / ``WritePipeline.step_batch``
-promise results and final state *bit-identical* to issuing the same
-writes serially, for every system composition -- including runs harsh
-enough to exercise wear-out mid-write, the fallback-to-compressed
-rescue, FREE-p retirement, and block death.  These tests pin that
-promise, plus the order-invariance property the batched engine's
-vectorized program step relies on: applying a conflict-free request
-set in any permutation or partition leaves byte-identical bank state.
+``CompressedPCMController.write_batch`` promises results and final
+state *bit-identical* to issuing the same writes serially, for every
+system composition -- including runs harsh enough to exercise wear-out
+mid-write, the fallback-to-compressed rescue, FREE-p retirement, and
+block death.  These tests pin that promise, plus the order-invariance
+property the scheduler's vectorized wave programming relies on:
+applying a conflict-free request set in any permutation or partition
+leaves byte-identical bank state.
 """
 
 import dataclasses
@@ -149,13 +149,6 @@ def test_write_batch_exercises_hard_paths():
     assert stats.lost_writes > 0
 
 
-def test_step_batch_rejects_duplicate_physical_lines():
-    controller = make_controller(get_system("comp_wf").config)
-    data = bytes(LINE)
-    with pytest.raises(ValueError, match="distinct"):
-        controller.pipeline.step_batch([(0, data), (0, data)])
-
-
 def test_write_batch_serializes_same_line_collisions():
     """Repeated writes to one logical line flush and stay serial-equal."""
     config = get_system("comp_wf").config
@@ -199,18 +192,21 @@ def test_step_batch_with_invariants_falls_back_to_serial():
     assert got == want
 
 
-# -- order-invariance property (the batched program step's foundation) ----
+# -- order-invariance property (the wave programming's foundation) --------
 
 
 def _conflict_free_controller():
-    """A controller whose next writes cannot rotate or evict mid-set.
+    """A controller whose next writes cannot move, rotate or evict mid-set.
 
     Order invariance only holds when no order-dependent shared machinery
-    fires *inside* the set: a huge intra-WL counter limit keeps the
+    fires *inside* the set: a huge Start-Gap interval keeps every
+    logical line on its row, a huge intra-WL counter limit keeps the
     rotation offsets fixed and a large content cache never evicts.
     """
     config = get_system("comp_wf").configured(
-        intra_counter_limit=1_000_000, compression_cache_lines=4096
+        start_gap_psi=1_000_000,
+        intra_counter_limit=1_000_000,
+        compression_cache_lines=4096,
     )
     return make_controller(config, endurance_mean=90.0)
 
@@ -220,9 +216,11 @@ def test_conflict_free_sets_are_order_and_partition_invariant(seed):
     """Any permutation/partition of distinct-line requests is equivalent.
 
     Warm the controller with a serial prefix, snapshot it, then apply
-    one conflict-free request set (distinct physical lines) every way:
-    serially, as one batch, permuted, and split into uneven partitions.
-    The final bank state and ControllerStats must be byte-identical.
+    one conflict-free request set (distinct logical lines, hence
+    distinct physical rows) every way through ``write_batch``: one
+    write at a time, as one batch, permuted, and split into uneven
+    partitions.  The final bank state and ControllerStats (outside the
+    scheduler's wave telemetry) must be byte-identical.
     """
     rng = np.random.default_rng(seed)
     base = _conflict_free_controller()
@@ -235,16 +233,15 @@ def test_conflict_free_sets_are_order_and_partition_invariant(seed):
     physicals = {remap.map_logical(int(l)) for l in logicals}
     assert len(physicals) == len(logicals)  # genuinely conflict-free
     pool = make_requests(60, seed=seed + 20)
-    batch = [(int(logical), pool[i][1]) for i, logical in enumerate(logicals)]
-    requests = [
-        (base.pipeline.remap.map_logical(logical), data)
-        for logical, data in batch
-    ]
+    requests = [(int(logical), pool[i][1]) for i, logical in enumerate(logicals)]
+    gap_moves = base.engine.start_gap.gap_moves
 
     def apply(plan):
         controller = pickle.loads(frozen)
         for chunk in plan:
-            controller.pipeline.step_batch(list(chunk))
+            controller.write_batch(chunk)
+        # No Start-Gap move fired inside the set.
+        assert controller.engine.start_gap.gap_moves == gap_moves
         return state_fingerprint(controller)
 
     want = apply([[request] for request in requests])  # serial order

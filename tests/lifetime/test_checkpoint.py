@@ -131,7 +131,7 @@ class TestBatchedResume:
 
     BATCH = 8
 
-    def _run_batched(self, tmp_path, name, max_writes, resume_from=None):
+    def _batched_run(self, tmp_path, name, max_writes, resume_from=None):
         simulator = small_simulator()
         result = simulator.run(
             max_writes=max_writes, batch=self.BATCH,
@@ -142,14 +142,14 @@ class TestBatchedResume:
         return simulator, result
 
     def test_batched_resume_preserves_wave_counters(self, tmp_path):
-        _, golden = self._run_batched(tmp_path, "golden", BUDGET)
+        _, golden = self._batched_run(tmp_path, "golden", BUDGET)
         assert golden.failed and golden.batch_waves > 0
-        self._run_batched(tmp_path, "interrupted", INTERRUPT_AT)
+        self._batched_run(tmp_path, "interrupted", INTERRUPT_AT)
         resume_point = latest_checkpoint(tmp_path / "interrupted")
         checkpoint = read_checkpoint(resume_point)
         # The checkpointed controller already carries wave telemetry.
         assert checkpoint.controller.stats.batch_waves > 0
-        _, resumed = self._run_batched(
+        _, resumed = self._batched_run(
             tmp_path, "interrupted", BUDGET, resume_from=resume_point
         )
         assert resumed == golden  # includes batch_wave_* continuity
