@@ -16,8 +16,8 @@ from ..lifetime import (
     LifetimeResult,
     lifetime_months,
     normalized_against_baseline,
-    run_system_comparison,
 )
+from ..lifetime.systems import _run_grid
 from ..pcm import HIGH_VARIATION_COV, PAPER_ENDURANCE_COV
 from ..traces import WORKLOAD_ORDER, get_profile
 
@@ -62,38 +62,28 @@ def run_workload_study(
 ) -> WorkloadStudy:
     """One Figure 10 column group (all systems, one workload).
 
-    ``workers > 1`` parallelizes the per-system runs through
-    :class:`~repro.engine.SweepRunner` with identical results.  The
-    durability knobs (``checkpoint_dir``, ``checkpoint_interval``,
-    ``resume``, ``progress``) pass straight through to
-    :func:`repro.lifetime.run_system_comparison`; none of them affect
-    the simulated results.  ``tier_lines > 0`` fronts every system
-    with the content-aware DRAM tier (:mod:`repro.tier`; serial path
-    only) -- that one *does* change results, by design.
+    :func:`run_full_study` for one workload.  Every knob means what it
+    does in :func:`repro.lifetime.run_system_comparison`: ``workers > 1``
+    parallelizes the per-system runs with identical results, and only
+    ``tier_lines > 0`` (the content-aware DRAM tier, :mod:`repro.tier`)
+    changes the simulated results, by design.
     """
-    results = run_system_comparison(
-        workload,
-        systems=systems,
+    return run_full_study(
+        (workload,),
+        systems,
+        endurance_cov=endurance_cov,
+        workers=workers,
         n_lines=n_lines,
         endurance_mean=endurance_mean,
-        endurance_cov=endurance_cov,
         seed=seed,
         max_writes=max_writes,
-        workers=workers,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         resume=resume,
         progress=progress,
         batch=batch,
         tier_lines=tier_lines,
-    )
-    unfinished = [name for name, result in results.items() if not result.failed]
-    if unfinished:
-        raise RuntimeError(
-            f"runs did not reach the failure criterion: {unfinished}; "
-            "raise max_writes or shrink the memory"
-        )
-    return WorkloadStudy(workload=workload, results=results)
+    )[workload]
 
 
 def run_full_study(
@@ -105,42 +95,32 @@ def run_full_study(
 ) -> dict[str, WorkloadStudy]:
     """Figure 10 (cov=0.15) or Figure 13 (cov=0.25) across workloads.
 
-    With ``workers > 1`` the whole (workload x system) grid is fanned
-    out at once through :class:`~repro.engine.SweepRunner` -- the grid
-    (not each column group) is the right parallelism unit, since every
-    run is independent.  Results are identical to the serial path.
+    ``kwargs`` are :func:`run_workload_study`'s keywords.  The whole
+    (workload x system) grid runs through one
+    :class:`~repro.engine.SweepRunner`, so ``workers > 1`` fans out
+    over the grid (not each column group) -- every run is independent.
+    Results are identical for every ``workers`` value.
     """
-    if workers != 1:
-        from ..engine.sweep import SweepRunner
-
-        runner = SweepRunner(
-            systems=tuple(systems),
-            workers=workers,
-            n_lines=kwargs.get("n_lines", 96),
-            endurance_mean=kwargs.get("endurance_mean", 60.0),
-            endurance_cov=endurance_cov,
-            max_writes=kwargs.get("max_writes", 4_000_000),
-            checkpoint_dir=kwargs.get("checkpoint_dir"),
-            checkpoint_interval=kwargs.get("checkpoint_interval", 0),
-            resume=kwargs.get("resume", False),
-        )
-        grid = runner.run(workloads, seed=kwargs.get("seed", 0))
-        studies = {}
-        for workload, results in grid.items():
-            unfinished = [n for n, r in results.items() if not r.failed]
-            if unfinished:
-                raise RuntimeError(
-                    f"runs did not reach the failure criterion: {unfinished}; "
-                    "raise max_writes or shrink the memory"
-                )
-            studies[workload] = WorkloadStudy(workload=workload, results=results)
-        return studies
-    return {
-        workload: run_workload_study(
-            workload, systems=systems, endurance_cov=endurance_cov, **kwargs
-        )
-        for workload in workloads
-    }
+    kwargs.setdefault("n_lines", 96)
+    kwargs.setdefault("endurance_mean", 60.0)
+    kwargs.setdefault("max_writes", 4_000_000)
+    grid = _run_grid(
+        workloads,
+        systems,
+        endurance_cov=endurance_cov,
+        workers=workers,
+        **kwargs,
+    )
+    studies = {}
+    for workload, results in grid.items():
+        unfinished = [name for name, result in results.items() if not result.failed]
+        if unfinished:
+            raise RuntimeError(
+                f"runs did not reach the failure criterion: {unfinished}; "
+                "raise max_writes or shrink the memory"
+            )
+        studies[workload] = WorkloadStudy(workload=workload, results=results)
+    return studies
 
 
 def geometric_mean_normalized(

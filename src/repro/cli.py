@@ -29,7 +29,7 @@ from .analysis import (
     fig3_compressed_sizes,
     fig6_size_change_probability,
     fig11_max_size_cdf,
-    run_workload_study,
+    run_full_study,
 )
 from .core import EVALUATED_SYSTEMS
 from .correction import PAPER_SCHEMES, make_scheme
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     lifetime.add_argument("--batch", type=_positive_int, default=1,
                           help="write-backs per controller call; > 1 drains "
                           "each run through the out-of-order batch scheduler "
-                          "(bit-identical results; requires --workers 1)")
+                          "(bit-identical results)")
     lifetime.add_argument("--profile", metavar="FILE", default=None,
                           help="dump a cProfile of the run to FILE and print "
                           "the top functions by cumulative time")
@@ -339,16 +339,16 @@ def _run_lifetime(args: argparse.Namespace) -> None:
     cache_hits = cache_misses = 0
     waves = wave_ops = widest_wave = 0
     energy_rows: list[tuple[str, str, object]] = []
-    for workload in args.workloads:
-        study = run_workload_study(
-            workload, systems=systems, n_lines=args.lines,
-            endurance_mean=args.endurance, endurance_cov=args.cov,
-            seed=args.seed, workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval or 0,
-            resume=args.resume, progress=args.progress,
-            batch=args.batch, tier_lines=args.tier_lines,
-        )
+    studies = run_full_study(
+        tuple(args.workloads), systems, endurance_cov=args.cov,
+        workers=args.workers, n_lines=args.lines,
+        endurance_mean=args.endurance, seed=args.seed,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_interval=args.checkpoint_interval or 0,
+        resume=args.resume, progress=args.progress,
+        batch=args.batch, tier_lines=args.tier_lines,
+    )
+    for workload, study in studies.items():
         row = f"{workload:12}"
         for system in systems:
             if system != "baseline":
@@ -578,7 +578,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             "shards": args.shards, "batch": args.batch,
             "tier_lines": args.tier_lines,
             "wl_backend": args.wl_backend,
-            "systems": list(args.systems or system_names()),
+            "systems": list(dict.fromkeys(c.system for c in report.campaigns)),
             "schemes": [normalize_scheme(s) for s in args.schemes],
         })
         print(f"manifest: {manifest}")

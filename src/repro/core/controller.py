@@ -248,10 +248,6 @@ class CompressedPCMController:
     def stats(self) -> ControllerStats:
         return self.engine.stats
 
-    @property
-    def _repairs(self) -> list[dict[int, int]]:
-        return self.engine.repairs
-
     # -- public API ------------------------------------------------------
 
     def write(self, logical: int, data: bytes) -> WriteResult:
@@ -358,12 +354,6 @@ class CompressedPCMController:
 
     # -- write path ------------------------------------------------------
 
-    def _write_physical(
-        self, physical: int, data: bytes, revival_allowed: bool
-    ) -> WriteResult:
-        """Historical entry point; delegates to the stage pipeline."""
-        return self.pipeline.write_line(physical, data, revival_allowed)
-
     def _handle_gap_move(self, movement) -> None:
         """Relocate the lines a placement perturbation displaced.
 
@@ -385,6 +375,3 @@ class CompressedPCMController:
             self.pipeline.write_line(
                 engine.resolve(destination), data, revival_allowed=True
             )
-
-    def _bank_of(self, physical: int) -> int:
-        return self.engine.bank_of(physical)

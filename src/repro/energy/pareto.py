@@ -46,29 +46,29 @@ def run_energy_sweep(
     # building encoders, so pulling the simulator stack in at module
     # scope would cycle through repro.core.
     from ..engine.registry import get_system, system_names
-    from ..lifetime.systems import build_simulator
+    from ..lifetime.systems import _run_grid
     from ..perf.overhead import PerformanceModel, ReadMix, measure_read_mix
     from ..traces import get_profile
 
     names = tuple(systems) if systems else system_names()
     model = model or EnergyModel()
     perf = perf or PerformanceModel()
+    grid = _run_grid(
+        workloads,
+        names,
+        n_lines=n_lines,
+        endurance_mean=endurance_mean,
+        seed=seed,
+        max_writes=max_writes,
+    )
     points: list[dict] = []
-    for workload in workloads:
+    for workload, results in grid.items():
         mix = measure_read_mix(
             get_profile(workload), samples=mix_samples, seed=seed
         )
         group: list[dict] = []
-        for name in names:
-            spec = get_system(name)
-            config = spec.config
-            simulator = build_simulator(
-                name, workload,
-                n_lines=n_lines,
-                endurance_mean=endurance_mean,
-                seed=seed,
-            )
-            result = simulator.run(max_writes=max_writes)
+        for name, result in results.items():
+            config = get_system(name).config
             breakdown = model.breakdown(
                 result, scheme=config.correction_scheme
             )

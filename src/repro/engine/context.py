@@ -289,12 +289,6 @@ class EngineState:
         """The bank a physical line belongs to (round-robin striping)."""
         return physical % self.n_banks
 
-    def global_of(self, local: int) -> int:
-        """A local logical line's global line number (identity unsharded)."""
-        if self.address_range is None:
-            return local
-        return self.address_range.to_global(local)
-
     def local_of(self, line: int) -> int:
         """A global logical line's local index (identity unsharded)."""
         if self.address_range is None:

@@ -413,10 +413,6 @@ class RemapStage(Stage):
         state = self.state
         return state.resolve(state.start_gap.map(logical))
 
-    def map_global(self, line: int) -> int:
-        """Global line number -> physical line (identity range unsharded)."""
-        return self.map_logical(self.state.local_of(line))
-
     def on_demand_write(self, logical: int):
         """Advance Start-Gap; returns a GapMovement when the gap moved."""
         return self.state.start_gap.on_write(logical)

@@ -1,18 +1,17 @@
 """Parallel, fault-tolerant (profile x system) lifetime sweep runner.
 
 A full Figure 10/13 study is dozens of completely independent lifetime
-simulations -- one per (workload profile, system) pair -- that the old
-code ran strictly serially.  :class:`SweepRunner` fans them out across
-worker processes and merges the per-run
-:class:`~repro.lifetime.results.LifetimeResult`\\ s back into the same
-``{workload: {system: result}}`` shape the serial helpers produce.
+simulations -- one per (workload profile, system) pair.  :class:`SweepRunner`
+runs every such grid in the package, in-process for ``workers=1`` and
+across worker processes otherwise, and merges the per-run
+:class:`~repro.lifetime.results.LifetimeResult`\\ s into one
+``{workload: {system: result}}`` mapping.
 
 Determinism: each run builds its own simulator from ``(system,
-workload, seed)`` exactly as :func:`repro.lifetime.run_system_comparison`
-does, so for the default ``seed_mode="shared"`` the parallel results are
-bit-for-bit identical to the serial ones regardless of worker count or
-scheduling (verified by ``tests/engine/test_sweep.py``).  With
-``seed_mode="spawned"`` each run instead gets an independent seed
+workload, seed)`` in :func:`run_task`, so for the default
+``seed_mode="shared"`` the results are bit-for-bit identical for every
+worker count and scheduling (verified by ``tests/engine/test_sweep.py``).
+With ``seed_mode="spawned"`` each run instead gets an independent seed
 derived via :func:`repro.rng.spawn_seeds`, which is what you want when
 averaging over many sweeps rather than comparing against a serial run.
 
@@ -71,6 +70,10 @@ class SweepTask:
     checkpoint_interval: int = 0
     #: Resume from the run directory's latest checkpoint if one exists.
     resume: bool = False
+    #: Writes per scheduler epoch (``LifetimeSimulator.run(batch=)``).
+    batch: int = 1
+    #: Print one progress line per heartbeat to stderr.
+    progress: bool = False
 
     @property
     def run_dir(self) -> str | None:
@@ -218,7 +221,7 @@ def run_task(task: SweepTask):
     from ..lifetime.checkpoint import latest_checkpoint
     from ..lifetime.simulator import DEFAULT_CHECKPOINT_INTERVAL
     from ..lifetime.systems import build_simulator
-    from ..lifetime.telemetry import JsonlObserver
+    from ..lifetime.telemetry import JsonlObserver, ProgressObserver
 
     simulator = build_simulator(
         task.system,
@@ -230,19 +233,20 @@ def run_task(task: SweepTask):
         cell_type=task.cell_type,
         **dict(task.config_overrides),
     )
-    run_kwargs: dict = {"max_writes": task.max_writes}
+    run_kwargs: dict = {"max_writes": task.max_writes, "batch": task.batch}
+    observers: list = []
     run_dir = task.run_dir
     if run_dir is not None:
         run_kwargs["checkpoint_dir"] = run_dir
         run_kwargs["checkpoint_interval"] = (
             task.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
         )
-        run_kwargs["observers"] = (
-            JsonlObserver(os.path.join(run_dir, "events.jsonl")),
-        )
+        observers.append(JsonlObserver(os.path.join(run_dir, "events.jsonl")))
         if task.resume:
             run_kwargs["resume_from"] = latest_checkpoint(run_dir)
-    return simulator.run(**run_kwargs)
+    if task.progress:
+        observers.append(ProgressObserver())
+    return simulator.run(observers=tuple(observers), **run_kwargs)
 
 
 @dataclass
@@ -275,6 +279,9 @@ class SweepRunner:
             simulator default).
         resume: Resume each task from its latest checkpoint when one
             exists under ``checkpoint_dir``.
+        batch: Writes per scheduler epoch in every run; results match
+            ``batch=1`` apart from the ``batch_*`` wave telemetry.
+        progress: Print every run's heartbeats to stderr.
     """
 
     systems: tuple[str, ...] = PAPER_SYSTEMS
@@ -291,6 +298,8 @@ class SweepRunner:
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 0
     resume: bool = False
+    batch: int = 1
+    progress: bool = False
 
     def __post_init__(self) -> None:
         if self.seed_mode not in SEED_MODES:
@@ -332,6 +341,8 @@ class SweepRunner:
                 checkpoint_dir=self.checkpoint_dir,
                 checkpoint_interval=self.checkpoint_interval,
                 resume=self.resume,
+                batch=self.batch,
+                progress=self.progress,
             )
             for (workload, system), run_seed in zip(pairs, seeds)
         ]

@@ -8,8 +8,6 @@ parameters together so benchmarks and examples can run one-liners like::
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..core import EVALUATED_SYSTEMS, SystemConfig
 from ..engine.registry import resolve_config
 from ..traces import SyntheticWorkload, get_profile
@@ -94,84 +92,68 @@ def run_system_comparison(
 ) -> dict[str, LifetimeResult]:
     """Run every system on one workload (one Figure 10 column group).
 
-    ``batch > 1`` drains each run's write stream in batched epochs
-    through the out-of-order scheduler (bit-identical results; the
-    scheduler's wave telemetry lands in each
-    :class:`~repro.lifetime.results.LifetimeResult`).  Serial path
-    only: combine it with ``workers=1``.
-
+    The runs go through :class:`~repro.engine.SweepRunner` (see it for
+    the knobs): in-process for ``workers=1``, across that many
+    processes otherwise, with bit-for-bit the same results.  ``batch``,
+    ``progress`` and the durability knobs (see
+    :mod:`repro.lifetime.checkpoint`) never change results either;
     ``tier_lines > 0`` fronts every system with a content-aware DRAM
     tier of that capacity (:mod:`repro.tier`) by overriding the
-    config's ``tier_lines`` knob; serial path only.
-
-    ``workers > 1`` fans the runs out across processes through
-    :class:`~repro.engine.SweepRunner`; each run is seeded identically
-    to the serial path, so the results are bit-for-bit the same.
-
-    Durability knobs (see :mod:`repro.lifetime.checkpoint` and
-    :mod:`repro.lifetime.telemetry`): ``checkpoint_dir`` gives each run
-    a ``<workload>-<system>/`` subdirectory with durable checkpoints
-    (every ``checkpoint_interval`` writes; 0 = the simulator default)
-    plus a JSONL heartbeat stream; ``resume=True`` continues each run
-    from its latest checkpoint when one exists; ``progress=True``
-    prints per-heartbeat progress lines to stderr (serial path only --
-    parallel workers stay quiet and rely on the JSONL streams).
-    Checkpoints and heartbeats never change results.
+    config's ``tier_lines`` knob.
     """
-    if workers != 1:
-        if batch != 1:
-            raise ValueError("batch > 1 requires workers=1")
-        if tier_lines:
-            raise ValueError("tier_lines > 0 requires workers=1")
-        from ..engine.sweep import SweepRunner
+    return _run_grid(
+        (workload,),
+        systems,
+        n_lines=n_lines,
+        endurance_mean=endurance_mean,
+        endurance_cov=endurance_cov,
+        seed=seed,
+        max_writes=max_writes,
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval,
+        resume=resume,
+        progress=progress,
+        batch=batch,
+        tier_lines=tier_lines,
+    )[workload]
 
-        runner = SweepRunner(
-            systems=tuple(systems),
-            workers=workers,
-            n_lines=n_lines,
-            endurance_mean=endurance_mean,
-            endurance_cov=endurance_cov,
-            max_writes=max_writes,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            resume=resume,
-        )
-        return runner.run_comparison(workload, seed=seed)
-    from .checkpoint import latest_checkpoint
-    from .simulator import DEFAULT_CHECKPOINT_INTERVAL
-    from .telemetry import JsonlObserver, ProgressObserver
 
-    results = {}
-    for system in systems:
-        overrides: dict = {"tier_lines": tier_lines} if tier_lines else {}
-        simulator = build_simulator(
-            system,
-            workload,
-            n_lines=n_lines,
-            endurance_mean=endurance_mean,
-            endurance_cov=endurance_cov,
-            seed=seed,
-            **overrides,
-        )
-        run_kwargs: dict = {"max_writes": max_writes}
-        if batch != 1:
-            run_kwargs["batch"] = batch
-        observers: list = []
-        if checkpoint_dir is not None:
-            run_dir = Path(checkpoint_dir) / f"{workload}-{system}"
-            run_kwargs["checkpoint_dir"] = run_dir
-            run_kwargs["checkpoint_interval"] = (
-                checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
-            )
-            observers.append(JsonlObserver(run_dir / "events.jsonl"))
-            if resume:
-                run_kwargs["resume_from"] = latest_checkpoint(run_dir)
-        if progress:
-            observers.append(ProgressObserver())
-        if observers:
-            run_kwargs["observers"] = tuple(observers)
-        results[system] = simulator.run(**run_kwargs)
-    return results
+def _run_grid(
+    workloads: tuple[str, ...],
+    systems: tuple[str, ...],
+    *,
+    n_lines: int = 256,
+    endurance_mean: float = 100.0,
+    endurance_cov: float = 0.15,
+    seed: int = 0,
+    max_writes: int = 2_000_000,
+    workers: int = 1,
+    checkpoint_dir: str | None = None,
+    checkpoint_interval: int = 0,
+    resume: bool = False,
+    progress: bool = False,
+    batch: int = 1,
+    tier_lines: int = 0,
+) -> dict[str, dict[str, LifetimeResult]]:
+    """Run every (workload, system) pair through one SweepRunner."""
+    from ..engine.sweep import SweepRunner
+
+    runner = SweepRunner(
+        systems=tuple(systems),
+        workers=workers,
+        n_lines=n_lines,
+        endurance_mean=endurance_mean,
+        endurance_cov=endurance_cov,
+        max_writes=max_writes,
+        config_overrides={"tier_lines": tier_lines} if tier_lines else {},
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval,
+        resume=resume,
+        batch=batch,
+        progress=progress,
+    )
+    return runner.run(workloads, seed=seed)
 
 
 def normalized_against_baseline(

@@ -11,8 +11,11 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import run_full_study
 from repro.engine import SweepRunner, SweepTask, run_task
 from repro.lifetime import run_system_comparison
+
+from tests.lifetime.test_batch_run import behavioural_dict
 
 SMALL = dict(n_lines=24, endurance_mean=12.0, max_writes=600_000)
 SYSTEMS = ("baseline", "comp_wf")
@@ -119,3 +122,35 @@ class TestWorkersPlumbing:
         changed = runner.run_comparison("milc", seed=3)["comp_wf"]
         default = plain.run_comparison("milc", seed=3)["comp_wf"]
         assert not results_equal(changed, default)
+
+
+class TestGridLauncher:
+    """Every launcher knob reaches the runs for every ``workers`` value."""
+
+    GRID = dict(
+        workloads=("gcc",), systems=SYSTEMS, n_lines=32, endurance_mean=20,
+    )
+
+    def test_tiered_full_study_is_worker_count_invariant(self):
+        serial = run_full_study(tier_lines=16, workers=1, **self.GRID)
+        parallel = run_full_study(tier_lines=16, workers=2, **self.GRID)
+        untiered = run_full_study(workers=1, **self.GRID)
+        for system in SYSTEMS:
+            tiered = serial["gcc"].results[system]
+            assert parallel["gcc"].results[system] == tiered, system
+            assert tiered.writes_issued != (
+                untiered["gcc"].results[system].writes_issued
+            ), system
+
+    def test_batched_full_study_matches_the_serial_write_path(self):
+        serial = run_full_study(workers=2, **self.GRID)
+        batched = run_full_study(batch=64, workers=2, **self.GRID)
+        for system in SYSTEMS:
+            one = serial["gcc"].results[system]
+            wide = batched["gcc"].results[system]
+            assert behavioural_dict(wide) == behavioural_dict(one), system
+            assert wide.batch_waves > 0 and one.batch_waves == 0, system
+
+    def test_misspelled_keyword_is_rejected(self):
+        with pytest.raises(TypeError, match="tier_line"):
+            run_full_study(tier_line=16, workers=2, **self.GRID)

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -130,6 +132,20 @@ def test_lifetime_command_with_workers(capsys):
         "--workers", "2",
     ]) == 0
     assert "milc" in capsys.readouterr().out
+
+
+def test_fuzz_manifest_lists_the_systems_it_fuzzed(tmp_path, capsys):
+    assert main([
+        "fuzz", "--writes", "20", "--schemes", "ecp6",
+        "--corpus", str(tmp_path),
+    ]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "campaign-manifest.json").read_text())
+    (run,) = manifest["runs"]
+    # One scheme: exactly one campaign per fuzzed system.
+    assert len(run["systems"]) == run["campaigns"]
+    assert "comp_wf" in run["systems"]
+    assert not any(name.endswith("_wolfram") for name in run["systems"])
 
 
 def test_systems_command(capsys):

@@ -135,11 +135,14 @@ class TestLifetimeStudy:
         assert tiered.writes_issued >= bare.writes_issued
         assert tiered.stored_writes < tiered.writes_issued
 
-    def test_tier_requires_the_serial_path(self):
+    def test_tier_parallel_matches_serial(self):
         from repro.lifetime import run_system_comparison
 
-        with pytest.raises(ValueError, match="workers=1"):
-            run_system_comparison(
-                "mcf", systems=("comp_wf",), n_lines=16,
-                max_writes=10, workers=2, tier_lines=4,
-            )
+        kwargs = dict(
+            systems=("baseline", "comp_wf"), n_lines=16, endurance_mean=12.0,
+            seed=3, max_writes=20_000, tier_lines=4,
+        )
+        serial = run_system_comparison("mcf", workers=1, **kwargs)
+        parallel = run_system_comparison("mcf", workers=2, **kwargs)
+        assert parallel == serial
+        assert all(r.stored_writes < r.writes_issued for r in serial.values())
